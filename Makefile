@@ -194,12 +194,14 @@ bench:
 
 # bench-json: the machine-readable evaluation artifact. Runs the burst
 # section with the metrics registry and audit trail enabled, plus the
-# query-cache and adaptive-precision sections; flaybench cross-checks
-# their accounting against the engine's Statistics (the cache's >50%
-# hit-rate bar, the precision section's p99-under-deadline and
-# zero-unsound-verdict bars) and exits non-zero on any mismatch.
+# warm-start and adaptive-precision sections; flaybench cross-checks
+# their accounting against the engine's Statistics (the warm-start
+# section's >=50% skipped-burst-update bar, the precision section's
+# p99-under-deadline and zero-unsound-verdict bars) and exits non-zero
+# on any mismatch. flaybench merges into an existing report by section
+# name, so this target and bench-dd share BENCH_flay.json.
 bench-json:
-	$(GO) run ./cmd/flaybench -only burst,batch,cache,dd,precision,churn,scaling,cluster -json -o BENCH_flay.json
+	$(GO) run ./cmd/flaybench -only burst,batch,warmstart,dd,precision,churn,scaling,cluster -json -o BENCH_flay.json
 
 # bench-dd: the decision-diagram query-core artifact. Replays the
 # precise-mode middleblock ACL burst through a diagram engine and a

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"sync"
 	"time"
@@ -71,7 +70,7 @@ func clusterSection(full bool) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	web := &http.Server{Handler: srv}
+	web := server.NewHTTPServer(srv)
 	go web.Serve(httpLn)
 	defer web.Close()
 	binLn, err := net.Listen("tcp", "127.0.0.1:0")

@@ -10,14 +10,16 @@
 //	flaybench [-only sections] [-full] [-json] [-o FILE] [-gomaxprocs LIST]
 //
 // Sections: table1, fig1, fig3, fig5, table2, table3, stages, burst,
-// batch, cache, dd, precision, churn, ablation, scaling, pps,
+// batch, warmstart, dd, precision, churn, ablation, scaling, pps,
 // cluster. The list is
 // generated from the section registry (benchSections) and pinned equal
 // to it by TestSectionDocMatchesRegistry; -only takes a comma-separated
 // subset ("-only burst,batch"). -full extends Table 3 to 10000
 // installed entries (slow in precise mode, as in the paper).
 // -json additionally writes a machine-readable report (default
-// BENCH_flay.json, override with -o; "-" writes to stdout): per-section
+// BENCH_flay.json, override with -o; "-" writes to stdout; an existing
+// report file is merged into by section name, so a partial run updates
+// only the sections it ran): per-section
 // wall times and GOMAXPROCS plus, for the burst section, the engine's
 // metrics snapshot, per-update latency quantiles and the audit trail's
 // decision tally — each cross-checked exactly against the engine's own
@@ -37,6 +39,7 @@ import (
 	"hash/fnv"
 	"log"
 	"os"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -67,7 +70,7 @@ type benchReport struct {
 	GOMAXPROCS int              `json:"gomaxprocs"`
 	Sections   []sectionReport  `json:"sections"`
 	Burst      *burstReport     `json:"burst,omitempty"`
-	Cache      *cacheReport     `json:"cache,omitempty"`
+	Warmstart  *warmstartReport `json:"warmstart,omitempty"`
 	DD         *ddReport        `json:"dd,omitempty"`
 	Precision  *precisionReport `json:"precision,omitempty"`
 	Churn      *churnReport     `json:"churn,omitempty"`
@@ -100,18 +103,18 @@ type burstReport struct {
 	Metrics        obs.Snapshot   `json:"metrics"`
 }
 
-// cacheReport records the taint-keyed query cache's effect on the
-// burst workload, plus the snapshot warm-restart comparison. The hit
-// rate and the byte-identical end state are verified before the report
+// warmstartReport records the unchanged-assignment skip on the burst
+// workload, plus the snapshot warm-restart comparison. The skip share
+// and the restore-equals-rebuild check are verified before the report
 // is emitted; a failure exits non-zero.
-type cacheReport struct {
+type warmstartReport struct {
+	Updates       int     `json:"updates"`
+	Skipped       int     `json:"skipped"`
+	BurstMS       int64   `json:"burst_ms"`
+	PerUpdateUS   float64 `json:"per_update_us"`
 	Hits          int64   `json:"hits"`
 	Misses        int64   `json:"misses"`
-	Evictions     int64   `json:"evictions"`
-	HitRate       float64 `json:"hit_rate"`
-	NoCacheMS     int64   `json:"nocache_ms"`
-	CacheMS       int64   `json:"cache_ms"`
-	Speedup       float64 `json:"speedup"`
+	SpecFNV       string  `json:"spec_fnv64a"`
 	SnapshotBytes int     `json:"snapshot_bytes"`
 	RestoreMS     float64 `json:"restore_ms"`
 	FreshMS       float64 `json:"fresh_ms"`
@@ -119,8 +122,7 @@ type cacheReport struct {
 
 // ddReport records the decision-diagram query core's effect on the
 // precise query pass: the same burst replayed with the diagram path on
-// and off (cache off on both arms, so every verdict really runs a
-// query), with the verdict-for-verdict differential and the >= 3x
+// and off, with the verdict-for-verdict differential and the >= 3x
 // query-pass gate verified before the report is emitted.
 type ddReport struct {
 	Updates      int     `json:"updates"`
@@ -175,7 +177,7 @@ var benchSections = []struct {
 	{"stages", stages},
 	{"burst", burst},
 	{"batch", batchSection},
-	{"cache", cacheSection},
+	{"warmstart", warmstartSection},
 	{"dd", ddSection},
 	{"precision", precisionSection},
 	{"churn", churnSection},
@@ -293,8 +295,25 @@ func main() {
 	}
 }
 
+// writeReport writes the -json report. An existing report at path is
+// merged into rather than overwritten (mergeReport), so make targets
+// that run different section subsets into one file compose.
 func writeReport(path string) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
+	out := rep
+	if path != "-" {
+		old, err := os.ReadFile(path)
+		switch {
+		case err == nil:
+			var prev benchReport
+			if err := json.Unmarshal(old, &prev); err != nil {
+				return fmt.Errorf("existing report %s: %w", path, err)
+			}
+			out = mergeReport(&prev, rep)
+		case !os.IsNotExist(err):
+			return err
+		}
+	}
+	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -308,6 +327,32 @@ func writeReport(path string) error {
 	}
 	fmt.Printf("report written to %s\n", path)
 	return nil
+}
+
+// mergeReport folds the sections of cur into prev by section name: each
+// section detail cur carries replaces prev's, timing rows of the
+// sections cur ran replace prev's rows of the same name, and everything
+// else in prev is kept.
+func mergeReport(prev, cur *benchReport) *benchReport {
+	pv, cv := reflect.ValueOf(prev).Elem(), reflect.ValueOf(cur).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		if f := cv.Field(i); f.Kind() == reflect.Pointer && !f.IsNil() {
+			pv.Field(i).Set(f)
+		}
+	}
+	ran := make(map[string]bool, len(cur.Sections))
+	for _, sec := range cur.Sections {
+		ran[sec.Name] = true
+	}
+	rows := make([]sectionReport, 0, len(prev.Sections)+len(cur.Sections))
+	for _, sec := range prev.Sections {
+		if !ran[sec.Name] {
+			rows = append(rows, sec)
+		}
+	}
+	prev.Sections = append(rows, cur.Sections...)
+	prev.GOMAXPROCS = cur.GOMAXPROCS
+	return prev
 }
 
 func header(title string) {
@@ -747,64 +792,67 @@ func goflaySpec(s *core.Specializer) string { return ast.Print(s.SpecializedProg
 
 // ---------------------------------------------------------------------------
 
-// cacheSection measures the taint-keyed specialization-query cache on
-// the Fig. 1-style SCION burst: the same representative-config + 1000
-// fuzzer-entry stream is run with the cache disabled and enabled, the
-// two end states are verified byte-identical, and the cached run must
-// achieve a >50% hit rate (the acceptance bar). It then snapshots the
-// warm engine and compares a warm restore against a fresh open +
-// representative replay.
-func cacheSection(bool) {
-	header("Query cache: taint-keyed memoization + warm-start snapshot (SCION burst)")
+// warmstartSection measures the unchanged-assignment skip on the
+// Fig. 1-style SCION burst: representative config + 1000 fuzzer
+// entries. Past the overapproximation threshold the burst table's
+// compiled assignment stops changing, so the engine re-evaluates none
+// of its points; the section counts the burst updates that re-evaluated
+// no point and gates that share at >= 50%. It then snapshots the engine
+// and checks that a warm restore equals a rebuild from source.
+func warmstartSection(bool) {
+	header("Warm start: unchanged-assignment skip + snapshot restore (SCION burst)")
 	p := progs.Scion()
 	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "cache verification failed: "+format+"\n", args...)
+		fmt.Fprintf(os.Stderr, "warmstart verification failed: "+format+"\n", args...)
 		os.Exit(1)
 	}
-	run := func(nocache bool) (*core.Specializer, time.Duration) {
-		s, err := p.LoadWith(core.Options{NoCache: nocache})
+	const updates = 1000
+	load := func(reg *obs.Registry) *core.Specializer {
+		s, err := p.LoadWith(core.Options{Metrics: reg})
 		if err != nil {
 			log.Fatal(err)
 		}
 		if err := p.ApplyRepresentative(s); err != nil {
 			log.Fatal(err)
 		}
+		return s
+	}
+	reg := obs.NewRegistry()
+	evaluated := reg.Counter("core.points_evaluated")
+	s := load(reg)
+	st0 := s.Statistics()
+	skipped := 0
+	var burstTime time.Duration
+	for i := 0; i < updates; i++ {
+		before := evaluated.Value()
 		t0 := time.Now()
-		for i := 0; i < 1000; i++ {
-			if s.Apply(progs.ScionBurstEntry(i)).Kind == core.Rejected {
-				log.Fatalf("burst entry %d rejected", i)
-			}
+		d := s.Apply(progs.ScionBurstEntry(i))
+		burstTime += time.Since(t0)
+		if d.Kind == core.Rejected {
+			log.Fatalf("burst entry %d rejected", i)
 		}
-		return s, time.Since(t0)
+		if evaluated.Value() == before {
+			skipped++
+		}
+	}
+	st := s.Statistics()
+	hits, misses := st.CacheHits-st0.CacheHits, st.CacheMisses-st0.CacheMisses
+	spec := goflaySpec(s)
+	h := fnv.New64a()
+	h.Write([]byte(spec))
+	specFNV := fmt.Sprintf("%016x", h.Sum64())
+	fmt.Printf("burst:      %d × Apply      %12v  (%v/update)\n", updates,
+		burstTime.Round(time.Millisecond), (burstTime / updates).Round(time.Microsecond))
+	fmt.Printf("skipped:    %d of %d updates re-evaluated no point\n", skipped, updates)
+	fmt.Printf("queries:    %d tainted points answered without a query, %d queries run\n", hits, misses)
+	fmt.Printf("program:    specialized source fnv64a %s\n", specFNV)
+	if 2*skipped < updates {
+		fail("only %d of %d burst updates skipped re-evaluation (gate: >= 50%%)", skipped, updates)
 	}
 
-	cold, coldTime := run(true)
-	warm, warmTime := run(false)
-	st := warm.Statistics()
-	queries := st.CacheHits + st.CacheMisses
-	if queries == 0 {
-		fail("cached run issued no cache queries")
-	}
-	rate := float64(st.CacheHits) / float64(queries)
-	fmt.Printf("cache off:  1000 × Apply      %12v  (%v/update)\n",
-		coldTime.Round(time.Millisecond), (coldTime / 1000).Round(time.Microsecond))
-	fmt.Printf("cache on:   1000 × Apply      %12v  (%v/update)\n",
-		warmTime.Round(time.Millisecond), (warmTime / 1000).Round(time.Microsecond))
-	fmt.Printf("speedup:    %.1f×\n", float64(coldTime)/float64(warmTime))
-	fmt.Printf("\nhits=%d misses=%d evictions=%d  hit rate %.1f%%\n",
-		st.CacheHits, st.CacheMisses, st.CacheEvictions, 100*rate)
-
-	if goflaySpec(cold) != goflaySpec(warm) {
-		fail("cached and uncached specialized programs diverged")
-	}
-	if rate <= 0.5 {
-		fail("hit rate %.1f%% is below the 50%% acceptance bar", 100*rate)
-	}
-	fmt.Println("cross-check: end states byte-identical, hit rate above the 50% bar")
-
-	// Warm-start: snapshot the warm engine, then compare restoring it
-	// against rebuilding the same state from source.
-	snap, err := warm.Snapshot()
+	// Warm start: snapshot the engine, then compare restoring it against
+	// rebuilding the same state from source.
+	snap, err := s.Snapshot()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -815,51 +863,45 @@ func cacheSection(bool) {
 	}
 	restoreTime := time.Since(t0)
 	t0 = time.Now()
-	fresh, err := p.LoadWith(core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := p.ApplyRepresentative(fresh); err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
+	fresh := load(nil)
+	for i := 0; i < updates; i++ {
 		if fresh.Apply(progs.ScionBurstEntry(i)).Kind == core.Rejected {
 			log.Fatalf("burst entry %d rejected", i)
 		}
 	}
 	freshTime := time.Since(t0)
-	if goflaySpec(restored) != goflaySpec(warm) {
-		fail("restored specialized program diverged from the snapshotted engine")
+	if goflaySpec(restored) != goflaySpec(fresh) || goflaySpec(fresh) != spec {
+		fail("restored, rebuilt and snapshotted specialized programs diverged")
 	}
 	fmt.Printf("\nsnapshot:   %d bytes\n", len(snap))
 	fmt.Printf("restore:    %12v  (vs %v rebuilding from source, %.1f×)\n",
 		restoreTime.Round(time.Microsecond), freshTime.Round(time.Millisecond),
 		float64(freshTime)/float64(restoreTime))
+	fmt.Println("cross-check: skip share above the 50% bar; restore equals rebuild")
 
-	rep.Cache = &cacheReport{
-		Hits:          st.CacheHits,
-		Misses:        st.CacheMisses,
-		Evictions:     st.CacheEvictions,
-		HitRate:       rate,
-		NoCacheMS:     coldTime.Milliseconds(),
-		CacheMS:       warmTime.Milliseconds(),
-		Speedup:       float64(coldTime) / float64(warmTime),
+	rep.Warmstart = &warmstartReport{
+		Updates:       updates,
+		Skipped:       skipped,
+		BurstMS:       burstTime.Milliseconds(),
+		PerUpdateUS:   float64(burstTime.Microseconds()) / updates,
+		Hits:          hits,
+		Misses:        misses,
+		SpecFNV:       specFNV,
 		SnapshotBytes: len(snap),
 		RestoreMS:     float64(restoreTime.Microseconds()) / 1000,
 		FreshMS:       float64(freshTime.Microseconds()) / 1000,
 	}
-	fmt.Println("\n(hits replay memoized verdicts without substituting or querying the")
-	fmt.Println("solver; past the overapproximation threshold the burst table's")
-	fmt.Println("fingerprint stabilizes and tainted points hit on every update)")
+	fmt.Println("\n(past the overapproximation threshold the burst table compiles to the")
+	fmt.Println("same hash-consed assignment, so the taint map still routes each update")
+	fmt.Println("to its points but none of them needs a query)")
 }
 
 // ---------------------------------------------------------------------------
 
 // ddSection measures the decision-diagram query core against the probe
-// solver on the SCION burst — the same workload as the cache section,
-// but with the query cache off on both arms so every point
-// re-evaluation runs a real specialization query instead of replaying a
-// memo. The diagram arm compiles each point's residue once and answers
+// solver on a precise-mode ACL burst, where every insert changes the
+// table's assignment, so every tainted point re-evaluation runs a real
+// specialization query. The diagram arm compiles each point's residue once and answers
 // subsequent queries by walking the canonical diagram; the solver arm
 // substitutes and probes per query. The section verifies the two arms
 // verdict-for-verdict and byte-identical on the specialized program,
@@ -876,11 +918,10 @@ func ddSection(bool) {
 	// re-evaluates match-conjunction residues whose satisfying
 	// assignments the probe solver hunts across a >100-bit space,
 	// while the diagram answers from compiled roots and memoized
-	// re-compiles. The value cache is off in both engines so the
-	// comparison is pure query machinery.
+	// re-compiles.
 	const updates = 250
 	run := func(noDD bool) *core.Specializer {
-		s, err := p.LoadWith(core.Options{NoCache: true, NoDD: noDD, OverapproxThreshold: -1})
+		s, err := p.LoadWith(core.Options{NoDD: noDD, OverapproxThreshold: -1})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -59,7 +61,7 @@ func TestSectionRegistry(t *testing.T) {
 		}
 		seen[s.name] = true
 	}
-	for _, required := range []string{"table1", "table2", "table3", "burst", "batch", "cache", "dd", "precision", "churn", "ablation", "scaling", "pps"} {
+	for _, required := range []string{"table1", "table2", "table3", "burst", "batch", "warmstart", "dd", "precision", "churn", "ablation", "scaling", "pps"} {
 		if !seen[required] {
 			t.Fatalf("section %q missing from registry", required)
 		}
@@ -87,5 +89,65 @@ func TestSectionDocMatchesRegistry(t *testing.T) {
 	}
 	if want := sectionNames(); !slices.Equal(listed, want) {
 		t.Fatalf("doc comment lists sections\n  %v\nregistry implements\n  %v", listed, want)
+	}
+}
+
+// TestWriteReportMergesBySection: writing a report over an existing
+// file keeps the sections this run did not produce, replaces the ones
+// it did (details and timing rows), and refuses to clobber a file it
+// cannot parse.
+func TestWriteReportMergesBySection(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.json")
+	saved := rep
+	defer func() { rep = saved }()
+
+	rep = &benchReport{
+		GOMAXPROCS: 1,
+		Sections:   []sectionReport{{Name: "burst", ElapsedMS: 10}, {Name: "dd", ElapsedMS: 20}},
+		Burst:      &burstReport{Updates: 1000},
+		DD:         &ddReport{Updates: 250, Speedup: 5},
+	}
+	if err := writeReport(path); err != nil {
+		t.Fatal(err)
+	}
+	rep = &benchReport{
+		GOMAXPROCS: 2,
+		Sections:   []sectionReport{{Name: "dd", ElapsedMS: 30}, {Name: "warmstart", ElapsedMS: 40}},
+		DD:         &ddReport{Updates: 250, Speedup: 6},
+		Warmstart:  &warmstartReport{Updates: 1000, Skipped: 900},
+	}
+	if err := writeReport(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got benchReport
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Burst == nil || got.Burst.Updates != 1000 {
+		t.Fatalf("burst section lost in the merge: %+v", got.Burst)
+	}
+	if got.DD == nil || got.DD.Speedup != 6 {
+		t.Fatalf("dd section not replaced: %+v", got.DD)
+	}
+	if got.Warmstart == nil || got.Warmstart.Skipped != 900 {
+		t.Fatalf("warmstart section not added: %+v", got.Warmstart)
+	}
+	want := []sectionReport{{Name: "burst", ElapsedMS: 10}, {Name: "dd", ElapsedMS: 30}, {Name: "warmstart", ElapsedMS: 40}}
+	if !slices.Equal(got.Sections, want) {
+		t.Fatalf("section rows = %+v, want %+v", got.Sections, want)
+	}
+	if got.GOMAXPROCS != 2 {
+		t.Fatalf("gomaxprocs = %d, want the latest run's 2", got.GOMAXPROCS)
+	}
+
+	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeReport(path); err == nil {
+		t.Fatal("merging into an unparsable report must fail, not overwrite it")
 	}
 }

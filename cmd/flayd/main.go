@@ -67,7 +67,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := server.NewHTTPServer(srv)
 	role := "active"
 	if cfg.Standby {
 		role = "standby"

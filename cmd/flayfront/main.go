@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/server"
 )
 
 // shardSpecs collects repeated -shard flags.
@@ -124,7 +125,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: front}
+	httpSrv := server.NewHTTPServer(front)
 	logger.Printf("fronting %d shards on http://%s", len(specs), ln.Addr())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()

@@ -287,7 +287,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("verdicts  forwarded=%d recompiled=%d rejected=%d (rejected seen by this run: %d)\n",
 		st.Forwarded, st.Recompilations, st.Rejected, rejected.Load())
-	fmt.Printf("cache     hits=%d misses=%d\n", st.CacheHits, st.CacheMisses)
+	fmt.Printf("queries   skipped=%d run=%d\n", st.CacheHits, st.CacheMisses)
 	if *writeDeadline > 0 || degraded.Load() > 0 || st.Degradations > 0 {
 		rate := float64(0)
 		if s := sent.Load(); s > 0 {

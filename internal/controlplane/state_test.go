@@ -1,5 +1,6 @@
 // Tests for the snapshotable configuration state (State/SetState) and
-// the assignment fingerprints the query cache keys on.
+// the hash-consed fragments the engine's unchanged-assignment skip
+// compares.
 package controlplane
 
 import (
@@ -125,75 +126,68 @@ func TestSetStateRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestEnvFingerprintProperties: equal environments fingerprint equally
-// regardless of builder or construction order; different assignments
-// fingerprint differently; the empty environment is stable.
-func TestEnvFingerprintProperties(t *testing.T) {
+// TestCompiledFragmentsHashCons pins the property the engine's
+// unchanged-assignment skip rests on: within one builder, compiling the
+// same configuration yields a fragment whose every binding is the same
+// hash-consed node, a different configuration rebinds at least one
+// variable, and past the overapproximation threshold further inserts
+// leave the fragment pointer-identical.
+func TestCompiledFragmentsHashCons(t *testing.T) {
 	an := analyze(t, fig5Src)
 	cfg := NewConfig(an)
 	b := an.Builder
-	empty1 := EnvFingerprint(Env{})
-	empty2 := EnvFingerprint(nil)
-	if empty1 != empty2 {
-		t.Fatal("nil and empty environments fingerprint differently")
+	const table = "Ingress.port_table"
+	compile := func() Env {
+		t.Helper()
+		env, _, err := cfg.CompileTable(b, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
 	}
-
-	env0, _, err := cfg.CompileTable(b, "Ingress.port_table")
-	if err != nil {
-		t.Fatal(err)
+	same := func(a, b Env) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for k, v := range a {
+			if b[k] != v {
+				return false
+			}
+		}
+		return true
 	}
-	fpEmptyTable := EnvFingerprint(env0)
-
-	if err := cfg.Apply(&Update{Kind: InsertEntry, Table: "Ingress.port_table",
-		Entry: exactEntry(0x1, "set", sym.NewBV(9, 1))}); err != nil {
-		t.Fatal(err)
-	}
-	env1, _, err := cfg.CompileTable(b, "Ingress.port_table")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpOneEntry := EnvFingerprint(env1)
-	if fpOneEntry == fpEmptyTable {
-		t.Fatal("different configurations produced the same fingerprint")
-	}
-
-	// Same structural assignment compiled in a *different* builder must
-	// fingerprint identically: the fingerprint folds canonical hashes,
-	// never builder pointers. Rebuild the whole analysis from scratch.
-	an2 := analyze(t, fig5Src)
-	cfg2 := NewConfig(an2)
-	if err := cfg2.Apply(&Update{Kind: InsertEntry, Table: "Ingress.port_table",
-		Entry: exactEntry(0x1, "set", sym.NewBV(9, 1))}); err != nil {
-		t.Fatal(err)
-	}
-	env2, _, err := cfg2.CompileTable(an2.Builder, "Ingress.port_table")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := EnvFingerprint(env2); got != fpOneEntry {
-		t.Fatalf("fingerprint is builder-dependent: %x vs %x", got, fpOneEntry)
-	}
-
-	// Order independence: an Env is a map, so the fold must not depend
-	// on iteration order — recompute several times.
-	for i := 0; i < 10; i++ {
-		if got := EnvFingerprint(env1); got != fpOneEntry {
-			t.Fatal("fingerprint is iteration-order dependent")
+	apply := func(kind UpdateKind, key uint64) {
+		t.Helper()
+		if err := cfg.Apply(&Update{Kind: kind, Table: table,
+			Entry: exactEntry(key, "set", sym.NewBV(9, 1))}); err != nil {
+			t.Fatal(err)
 		}
 	}
 
-	// Deleting the entry reverts the fingerprint: the same assignment
-	// always fingerprints the same, which is what makes revisited
-	// configurations cache-hittable.
-	if err := cfg.Apply(&Update{Kind: DeleteEntry, Table: "Ingress.port_table",
-		Entry: exactEntry(0x1, "set", sym.NewBV(9, 1))}); err != nil {
-		t.Fatal(err)
+	empty := compile()
+	if !same(empty, compile()) {
+		t.Fatal("recompiling an unchanged configuration rebound a variable")
 	}
-	envBack, _, err := cfg.CompileTable(b, "Ingress.port_table")
-	if err != nil {
-		t.Fatal(err)
+	apply(InsertEntry, 0x1)
+	one := compile()
+	if same(one, empty) {
+		t.Fatal("an insert left every binding pointer-identical")
 	}
-	if got := EnvFingerprint(envBack); got != fpEmptyTable {
-		t.Fatalf("reverted configuration fingerprints differently: %x vs %x", got, fpEmptyTable)
+	apply(DeleteEntry, 0x1)
+	if !same(compile(), empty) {
+		t.Fatal("reverting the insert did not restore the original nodes")
+	}
+
+	cfg.OverapproxThreshold = 2
+	for key := uint64(1); key <= 3; key++ {
+		apply(InsertEntry, key)
+	}
+	over := compile()
+	if !cfg.Overapproximated(table) {
+		t.Fatal("table past the threshold is not overapproximated")
+	}
+	apply(InsertEntry, 4)
+	if !same(compile(), over) {
+		t.Fatal("an insert past the threshold changed the overapproximated fragment")
 	}
 }

@@ -28,9 +28,8 @@ const (
 // against an interned node: the analysis-time structures (points, taint
 // and ownership maps, table/value-set/register placeholders, the merged
 // final store), the current control-plane substitution environment, the
-// per-point substituted expressions and cached witnesses, and the query
-// cache's witness environments. Everything else interned since the last
-// sweep is churn residue.
+// per-point substituted expressions and cached witnesses. Everything
+// else interned since the last sweep is churn residue.
 func (s *Specializer) arenaRoots() []*sym.Expr {
 	an := s.An
 	roots := make([]*sym.Expr, 0, 4*len(an.Points)+2*len(s.env))
@@ -66,15 +65,6 @@ func (s *Specializer) arenaRoots() []*sym.Expr {
 	for _, w := range s.witnesses {
 		for k := range w {
 			roots = append(roots, k)
-		}
-	}
-	if s.cache != nil {
-		for _, ways := range s.cache.points {
-			for i := range ways {
-				for k := range ways[i].witness {
-					roots = append(roots, k)
-				}
-			}
 		}
 	}
 	return s.ddArenaRoots(roots)

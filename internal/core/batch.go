@@ -174,13 +174,17 @@ func (s *Specializer) ApplyBatchCtx(ctx context.Context, updates []*controlplane
 	s.shedForBatch(ctx, order)
 
 	// Phase 2: recompile each touched target's assignment once,
-	// regardless of how many updates of the batch hit it.
+	// regardless of how many updates of the batch hit it. live lists
+	// every target compiled successfully; stale the subset whose
+	// assignment changed.
 	tc := time.Now()
 	csp := s.trace.Start("assign-compile", bsp)
 	live := make([]string, 0, len(order))
+	stale := make([]string, 0, len(order))
 	for _, target := range order {
 		g := groups[target]
-		if err := s.recompileTarget(target); err != nil {
+		changed, err := s.recompileTarget(target)
+		if err != nil {
 			// Unreachable for updates the configuration accepted, but
 			// mirror Apply's rejection path.
 			g.rejected = true
@@ -192,13 +196,21 @@ func (s *Specializer) ApplyBatchCtx(ctx context.Context, updates []*controlplane
 			continue
 		}
 		live = append(live, target)
+		if changed {
+			stale = append(stale, target)
+		}
 	}
 	s.trace.End(csp)
 
 	// Phase 3: one re-evaluation over the deduplicated union of every
-	// point the batch taints, grouped by taint-partition shard and
-	// fanned out over the worker pool (parallel.go / shard.go).
-	allPts := s.An.PointsOfTargets(live)
+	// point a changed assignment taints, grouped by taint-partition
+	// shard and fanned out over the worker pool (parallel.go /
+	// shard.go). Points tainted only by unchanged assignments keep
+	// their verdicts.
+	allPts := s.An.PointsOfTargets(stale)
+	if len(stale) < len(live) {
+		s.skipPoints(len(s.An.PointsOfTargets(live)) - len(allPts))
+	}
 	workersUsed = s.effectiveWorkers(len(allPts))
 	te := time.Now()
 	qsp := s.trace.Start("query", bsp)
@@ -214,7 +226,7 @@ func (s *Specializer) ApplyBatchCtx(ctx context.Context, updates []*controlplane
 	// overapproximated targets ran the flat path and are skipped).
 	if n := len(allPts); n > 0 {
 		per := float64(time.Since(tc).Nanoseconds()) / float64(n)
-		for _, target := range live {
+		for _, target := range stale {
 			if !s.Cfg.Overapproximated(target) {
 				s.observePerPoint(target, per)
 			}

@@ -15,9 +15,9 @@
 //
 // Lifecycle hooks, mirroring the existing machinery exactly:
 //
-//   - invalidation re-uses evictStale's taint routing — when a target's
-//     assignment fingerprint changes, precisely the tainted points drop
-//     their diagram roots (cache.go);
+//   - invalidation re-uses the taint routing — when recompileTarget
+//     reports a target's assignment changed, precisely the tainted
+//     points drop their diagram roots (evictStale);
 //   - epoch publication carries the diagram store and per-point roots
 //     copy-on-write, so Explain is wait-free like every other epoch
 //     reader (epoch.go);

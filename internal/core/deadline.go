@@ -215,8 +215,7 @@ func (s *Specializer) shedForBatch(ctx context.Context, targets []string) {
 
 // degradeLocked pins the target's assignment to the overapproximation
 // and records the transition. The caller holds the write lock; the next
-// recompileTarget call renders the cheap "*any*" fragment (changing the
-// fragment fingerprint, which evicts the stale cache entries).
+// recompileTarget call renders the cheap "*any*" fragment.
 func (s *Specializer) degradeLocked(target, cause string) {
 	s.imgMarkFull() // precision changes can reshape the specialized program
 	s.Cfg.ForceOverapprox(target, true)
@@ -247,7 +246,7 @@ func (s *Specializer) Degrade(table string) error {
 		return nil
 	}
 	s.degradeLocked(table, causeManual)
-	if err := s.recompileTarget(table); err != nil {
+	if _, err := s.recompileTarget(table); err != nil {
 		return err
 	}
 	changed := s.reevalPoints(s.An.PointsOf(table))
@@ -265,7 +264,7 @@ func (s *Specializer) promoteLocked(target, cause string) (unsound int, err erro
 	s.imgMarkFull() // precision changes can reshape the specialized program
 	s.Cfg.ForceOverapprox(target, false)
 	t0 := time.Now()
-	if err := s.recompileTarget(target); err != nil {
+	if _, err := s.recompileTarget(target); err != nil {
 		s.Cfg.ForceOverapprox(target, true)
 		return 0, err
 	}
@@ -417,7 +416,7 @@ func (s *Specializer) DifferentialCheck() (checked, unsoundCount int, err error)
 }
 
 // queryPointPure answers one specialization query without touching any
-// per-point engine state (witnesses, substitution memos, cache) — the
+// per-point engine state (witnesses, substitution memos) — the
 // read-only evaluation the differential check uses.
 func queryPointPure(solver *sym.Solver, p *dataplane.Point, sub *sym.Expr) Verdict {
 	switch p.Kind {

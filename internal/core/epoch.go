@@ -52,7 +52,7 @@ type epoch struct {
 	degraded []string
 	// stats is the fully resolved counter snapshot (including the
 	// degraded-table count and the arena node count at publication;
-	// cache counters and the unsound count are overlaid live from
+	// query-skip counters and the unsound count are overlaid live from
 	// their atomics by Statistics).
 	stats Stats
 	// generation is Forwarded+Recompilations — the snapshot-dirtiness

@@ -21,20 +21,17 @@ type coreMetrics struct {
 	batchedUpdates *obs.Counter // updates routed through ApplyBatch
 	coalesced      *obs.Counter // evaluation passes the batch engine elided
 
-	pointsEvaluated *obs.Counter // program points re-queried
+	pointsEvaluated *obs.Counter // program points re-evaluated
 	pointsChanged   *obs.Counter // verdict flips observed
-	substSkips      *obs.Counter // pointer-equal substitutions (query skipped)
 
-	cacheHits      *obs.Counter // query-cache hits (no substitution, no solver)
-	cacheMisses    *obs.Counter // query-cache misses
-	cacheEvictions *obs.Counter // entries invalidated by taint or way pressure
+	cacheHits   *obs.Counter // tainted points answered without a query (Stats.CacheHits)
+	cacheMisses *obs.Counter // specialization queries run (Stats.CacheMisses)
 
 	updateNS *obs.Histogram // per-update analysis latency, ns
 	evalNS   *obs.Histogram // per-pass point re-evaluation latency, ns
 
-	points       *obs.Gauge // program points under management
-	tables       *obs.Gauge // tables under management
-	cacheEntries *obs.Gauge // live query-cache entries
+	points *obs.Gauge // program points under management
+	tables *obs.Gauge // tables under management
 
 	// Adaptive precision controller (deadline.go).
 	degradations    *obs.Counter // tables degraded to overapproximation
@@ -73,15 +70,12 @@ func newCoreMetrics(r *obs.Registry) coreMetrics {
 		coalesced:       r.Counter("core.coalesced"),
 		pointsEvaluated: r.Counter("core.points_evaluated"),
 		pointsChanged:   r.Counter("core.points_changed"),
-		substSkips:      r.Counter("core.subst_skips"),
 		cacheHits:       r.Counter("core.cache_hits"),
 		cacheMisses:     r.Counter("core.cache_misses"),
-		cacheEvictions:  r.Counter("core.cache_evictions"),
 		updateNS:        r.Histogram("core.update_ns"),
 		evalNS:          r.Histogram("core.eval_ns"),
 		points:          r.Gauge("core.points"),
 		tables:          r.Gauge("core.tables"),
-		cacheEntries:    r.Gauge("core.cache_entries"),
 		degradations:    r.Counter("core.degradations"),
 		promotions:      r.Counter("core.promotions"),
 		unsoundDegraded: r.Counter("core.unsound_degraded"),

@@ -94,15 +94,12 @@ func (s *Specializer) shard(i int) *evalShard {
 // count above one the pass is planned by the taint-partition shard map
 // (shard.go): points group by owning shard, shard groups chunk into
 // evaluation units, and each unit is claimed by exactly one worker via
-// an atomic cursor — so points sharing a dependency target keep cache
+// an atomic cursor — so points sharing a dependency target keep memo
 // and witness locality while a single dominant partition still spreads
 // across the pool.
 func (s *Specializer) reevalPoints(pts []*dataplane.Point) []int {
 	w := s.effectiveWorkers(len(pts))
 	s.met.pointsEvaluated.Add(int64(len(pts)))
-	if s.cache != nil {
-		defer func() { s.met.cacheEntries.Set(s.cache.size.Load()) }()
-	}
 	capture := s.audit != nil
 	s.lastChanges = s.lastChanges[:0]
 	if w <= 1 {

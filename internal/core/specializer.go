@@ -178,11 +178,6 @@ type Options struct {
 	// serial evaluation, >1 sets the pool size, and <=0 (the default)
 	// uses GOMAXPROCS.
 	Workers int
-	// NoCache disables the taint-keyed specialization-query cache
-	// (cache.go). The cache is on by default; the cache-differential
-	// suite and the flaybench ablation turn it off to prove and measure
-	// equivalence.
-	NoCache bool
 	// NoDD disables the canonical decision-diagram query core (dd.go):
 	// every specialization query then runs on the substitute-and-probe
 	// solver path. The diagram core is on by default; the differential
@@ -248,13 +243,14 @@ type Stats struct {
 	EvalTime time.Duration // cumulative wall time re-evaluating points
 	Workers  int           // configured worker count (0 = GOMAXPROCS)
 
-	// Specialization-query cache counters (zero when the cache is
-	// disabled). Hits are queries answered without substitution or
-	// solver work; evictions count entries invalidated by the taint map
-	// or displaced by the per-point way bound.
-	CacheHits      int64
-	CacheMisses    int64
-	CacheEvictions int64
+	// Query-skip counters. CacheHits counts tainted-point
+	// re-evaluations answered without a specialization query: either the
+	// update left the target's compiled assignment unchanged, so none of
+	// its points was re-evaluated, or the point's substituted residue was
+	// pointer-equal to the one its verdict was computed from.
+	// CacheMisses counts the queries that actually ran.
+	CacheHits   int64
+	CacheMisses int64
 
 	// Decision-diagram query core counters (zero when the core is
 	// disabled). DDQueries counts verdicts answered on the diagram
@@ -354,27 +350,22 @@ type Specializer struct {
 	// same node, the verdict cannot have changed and the query is
 	// skipped entirely.
 	pointSub []*sym.Expr
+	// hits and misses back Stats.CacheHits/CacheMisses. Workers bump
+	// them concurrently, so they are atomics overlaid live by
+	// Statistics.
+	hits, misses atomic.Int64
 	// witnesses caches per-point satisfying assignments; re-evaluating
 	// a cached witness is usually all it takes to re-prove liveness.
 	witnesses []sym.Env
 
-	// The taint-keyed specialization-query cache (cache.go): cache is
-	// nil when disabled; pointDeps holds each point's sorted dependency
-	// targets and targetFp the current assignment fingerprint per
-	// target, which together form the cache key's dependency half.
-	// roCache is the wait-free readers' handle on the same cache: it is
-	// set once at construction and never swapped, so Statistics can read
-	// the hit/miss atomics without the lock even while ReevaluateAll
-	// temporarily nils the locked handle for its ablation pass.
-	cache     *queryCache
-	roCache   atomic.Pointer[queryCache]
+	// pointDeps holds each point's sorted dependency targets
+	// (buildPointDeps).
 	pointDeps [][]string
-	targetFp  map[string]uint64
 
 	// The decision-diagram query core (dd.go): ddc is nil when
-	// disabled; roDD mirrors roCache — set once at construction, read
-	// by wait-free Statistics even while ReevaluateAll temporarily nils
-	// the locked handle for its ablation pass.
+	// disabled; roDD is the wait-free readers' handle on it — set once
+	// at construction, read by Statistics even while ReevaluateAll
+	// temporarily nils the locked handle for its ablation pass.
 	ddc  *ddCore
 	roDD atomic.Pointer[ddCore]
 
@@ -432,10 +423,6 @@ func New(prog *ast.Program, info *typecheck.Info, opts Options) (*Specializer, e
 		repair:      opts.RepairInterval,
 		closedCh:    make(chan struct{}),
 	}
-	if !opts.NoCache {
-		s.cache = newQueryCache(len(an.Points))
-		s.roCache.Store(s.cache)
-	}
 	if !opts.NoDD {
 		s.ddc = newDDCore(an, nil)
 		s.roDD.Store(s.ddc)
@@ -492,12 +479,11 @@ func NewFromSource(name, src string, opts Options) (*Specializer, error) {
 }
 
 // initState allocates the per-point state and compiles the full
-// control-plane environment one target at a time, seeding each target's
-// assignment fingerprint (New and Restore share it).
+// control-plane environment one target at a time (New and Restore
+// share it).
 func (s *Specializer) initState() error {
 	an := s.An
 	s.env = make(controlplane.Env)
-	s.targetFp = make(map[string]uint64, len(an.Tables))
 	s.pointDeps = buildPointDeps(an)
 	s.co.shards = buildShardMap(an, s.pointDeps)
 	s.met.initShards(s.co.shards.count)
@@ -509,7 +495,7 @@ func (s *Specializer) initState() error {
 	// map iteration, or restored engines could walk diagrams in a
 	// different variable order than the engine that snapshotted them.
 	for _, name := range sortedNames(an.Tables) {
-		if err := s.recompileTarget(name); err != nil {
+		if _, err := s.recompileTarget(name); err != nil {
 			return err
 		}
 	}
@@ -525,12 +511,12 @@ func (s *Specializer) initState() error {
 	}
 	sortStrings(vsNames)
 	for _, name := range vsNames {
-		if err := s.recompileTarget(name); err != nil {
+		if _, err := s.recompileTarget(name); err != nil {
 			return err
 		}
 	}
 	for _, name := range sortedNames(an.Registers) {
-		if err := s.recompileTarget(name); err != nil {
+		if _, err := s.recompileTarget(name); err != nil {
 			return err
 		}
 	}
@@ -540,9 +526,9 @@ func (s *Specializer) initState() error {
 // Statistics returns a copy of the engine counters as of the published
 // epoch. It is wait-free (one atomic load, no lock) and may be called
 // concurrently with Apply/ApplyBatch from any number of goroutines
-// without ever blocking a writer. The cache and unsound counters are
-// overlaid live from their atomics; everything else is the consistent
-// cut the last mutating call published.
+// without ever blocking a writer. The query-skip, diagram and unsound
+// counters are overlaid live from their atomics; everything else is
+// the consistent cut the last mutating call published.
 func (s *Specializer) Statistics() Stats {
 	var st Stats
 	if s.lockedReads {
@@ -554,11 +540,8 @@ func (s *Specializer) Statistics() Stats {
 	} else {
 		st = s.loadEpoch().stats
 	}
-	if c := s.roCache.Load(); c != nil {
-		st.CacheHits = c.hits.Load()
-		st.CacheMisses = c.misses.Load()
-		st.CacheEvictions = c.evictions.Load()
-	}
+	st.CacheHits = s.hits.Load()
+	st.CacheMisses = s.misses.Load()
 	if d := s.roDD.Load(); d != nil {
 		st.DDQueries = d.queries.Load()
 		st.DDFallbacks = d.fallbacks.Load()
@@ -597,19 +580,13 @@ func (s *Specializer) ReevaluateAll() int {
 		s.pointSub[p.ID] = nil
 		s.witnesses[p.ID] = nil
 	}
-	// The ablation baseline must not be rescued by the query cache:
-	// disable it for the duration of the pass. Entries left behind stay
-	// valid (their keys are exact), so re-enabling it afterwards is
-	// sound.
-	cache := s.cache
-	s.cache = nil
-	// Same for the diagram core: the baseline measures the solver path.
+	// The baseline measures the solver path: the diagram core sits the
+	// pass out.
 	ddc := s.ddc
 	s.ddc = nil
 	t0 := time.Now()
 	changed := s.reevalPoints(s.An.Points)
 	s.stats.EvalTime += time.Since(t0)
-	s.cache = cache
 	s.ddc = ddc
 	return len(changed)
 }
@@ -639,7 +616,7 @@ func (s *Specializer) Preload(updates []*controlplane.Update) error {
 	names := make([]string, 0, len(targets))
 	for target := range targets {
 		names = append(names, target)
-		if err := s.recompileTarget(target); err != nil {
+		if _, err := s.recompileTarget(target); err != nil {
 			return err
 		}
 	}
@@ -658,16 +635,24 @@ func (s *Specializer) Preload(updates []*controlplane.Update) error {
 // object — the assignment of its control-plane variables — leaving the
 // rest of the environment untouched. Dispatch is by the object's schema
 // class; a successfully applied update always targets a known object.
-// The fragment's fingerprint is refreshed, and when it changed, the
-// taint map evicts the query-cache entries it invalidates (cache.go).
-func (s *Specializer) recompileTarget(target string) error {
+//
+// It reports whether the assignment changed: whether any variable of
+// the fresh fragment is bound to a different node than before.
+// Hash-consing makes that pointer comparison exact — structurally
+// equal assignments are the same nodes, and the environment is an
+// arena root, so a sweep never orphans a bound node that a recompile
+// could later re-intern under a new pointer. An unchanged assignment
+// cannot change any verdict, which is what lets the update paths skip
+// the target's points (the common case past the overapproximation
+// threshold, where the fragment is the fixed "*any*" assignment).
+func (s *Specializer) recompileTarget(target string) (bool, error) {
 	b := s.An.Builder
 	var frag controlplane.Env
 	switch {
 	case s.An.Tables[target] != nil:
 		te, _, err := s.Cfg.CompileTable(b, target)
 		if err != nil {
-			return err
+			return false, err
 		}
 		frag = te
 	case s.An.Registers[target] != nil:
@@ -675,20 +660,34 @@ func (s *Specializer) recompileTarget(target string) error {
 	default:
 		frag = s.Cfg.CompileValueSet(b, target)
 	}
+	changed := false
 	for k, v := range frag {
-		s.env[k] = v
-	}
-	if s.ddc != nil {
-		s.ddc.ensureAtoms(frag)
-	}
-	fp := controlplane.EnvFingerprint(frag)
-	if old, ok := s.targetFp[target]; !ok || old != fp {
-		s.targetFp[target] = fp
-		if ok {
-			s.evictStale(target)
+		if s.env[k] != v {
+			s.env[k] = v
+			changed = true
 		}
 	}
-	return nil
+	if changed && s.ddc != nil {
+		s.ddc.ensureAtoms(frag)
+		s.evictStale(target)
+	}
+	return changed, nil
+}
+
+// evictStale drops the diagram roots of exactly the points a changed
+// target taints: the residues they were compiled from are about to
+// change, nothing else's are.
+func (s *Specializer) evictStale(target string) {
+	for _, p := range s.An.PointsOf(target) {
+		s.ddc.invalidate(p.ID)
+	}
+}
+
+// skipPoints accounts n tainted points an unchanged assignment let the
+// update path skip: each counts as answered without a query.
+func (s *Specializer) skipPoints(n int) {
+	s.hits.Add(int64(n))
+	s.met.cacheHits.Add(int64(n))
 }
 
 // Verdict returns the verdict of a point as of the published epoch —
@@ -704,54 +703,23 @@ func (s *Specializer) Verdict(id int) Verdict {
 }
 
 // evalPointWith answers one point's specialization query using the
-// given worker shard's solver and substitution memo. Three layers
-// short-circuit, cheapest first: the taint-keyed query cache replays a
-// memoized verdict without substituting at all; hash-consing makes the
-// substituted expression a canonical pointer, so an unchanged pointer
-// means an unchanged verdict; and liveness witnesses from previous
-// queries are retried before the solver searches.
+// given worker shard's solver and substitution memo. Hash-consing makes
+// the substituted expression a canonical pointer, so an unchanged
+// pointer means an unchanged verdict and the query is skipped;
+// otherwise liveness witnesses from previous queries are retried
+// before the solver searches.
 func (s *Specializer) evalPointWith(sh *evalShard, p *dataplane.Point) Verdict {
-	var key cacheKey
-	if s.cache != nil {
-		key = cacheKey{expr: p.Expr.Canon(), dep: s.depFp(p.ID)}
-		if e, ok := s.cache.lookup(p.ID, key); ok {
-			s.met.cacheHits.Inc()
-			if e.witness != nil {
-				s.witnesses[p.ID] = e.witness
-			}
-			// The hit skipped substitution, so the substituted-pointer
-			// memo no longer describes the installed verdict; drop it
-			// rather than let a later pointer-equal substitution pair a
-			// stale pointer with a cache-era verdict.
-			s.pointSub[p.ID] = nil
-			return e.verdict
-		}
-		s.met.cacheMisses.Inc()
-	}
 	b := s.An.Builder
 	sub := b.SubstWith(&sh.sub, p.Expr, s.env)
 	if s.pointSub[p.ID] == sub && sub != nil {
-		s.met.substSkips.Inc()
-		v := s.verdicts[p.ID]
-		s.storeCached(p.ID, key, v)
-		return v
+		s.hits.Add(1)
+		s.met.cacheHits.Inc()
+		return s.verdicts[p.ID]
 	}
+	s.misses.Add(1)
+	s.met.cacheMisses.Inc()
 	s.pointSub[p.ID] = sub
-	v := s.queryAny(sh, p, sub)
-	s.storeCached(p.ID, key, v)
-	return v
-}
-
-// storeCached memoizes a freshly computed verdict together with the
-// point's current liveness witness (a hint only — it cannot change the
-// replayed verdict, just speed up later re-proofs).
-func (s *Specializer) storeCached(id int, key cacheKey, v Verdict) {
-	if s.cache == nil {
-		return
-	}
-	if s.cache.store(id, key, v, s.witnesses[id]) {
-		s.met.cacheEvictions.Inc()
-	}
+	return s.queryAny(sh, p, sub)
 }
 
 // queryPoint answers the point's specialization query on the
@@ -869,7 +837,7 @@ func (s *Specializer) applyLocked(ctx context.Context, u *controlplane.Update) *
 	// the environment is unchanged.
 	tc := time.Now()
 	csp := s.trace.Start("assign-compile", sp)
-	err := s.recompileTarget(target)
+	changed, err := s.recompileTarget(target)
 	s.trace.End(csp)
 	if err != nil {
 		// The configuration already changed: the next image must not
@@ -883,11 +851,16 @@ func (s *Specializer) applyLocked(ctx context.Context, u *controlplane.Update) *
 	}
 
 	// Taint lookup → affected points → re-query, fanned out over the
-	// worker pool when the update taints enough points.
+	// worker pool when the update taints enough points. An unchanged
+	// assignment cannot change a verdict, so its points are skipped.
 	d.AffectedPoints = len(pts)
 	te := time.Now()
 	qsp := s.trace.Start("query", sp)
-	d.ChangedPoints = s.reevalPoints(pts)
+	if changed {
+		d.ChangedPoints = s.reevalPoints(pts)
+	} else {
+		s.skipPoints(len(pts))
+	}
 	s.trace.Attr(qsp, "points", int64(len(pts)))
 	s.trace.Attr(qsp, "changed", int64(len(d.ChangedPoints)))
 	s.trace.End(qsp)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -534,5 +535,52 @@ control Ingress(inout headers h, inout metadata meta, inout standard_metadata_t 
 	}
 	if strings.Contains(printed, "port_table") {
 		t.Fatalf("empty port_table should be removed:\n%s", printed)
+	}
+}
+
+// TestEvictStalePrecision drives the taint-routed diagram invalidation
+// on the Fig. 3 program: recompiling a table whose assignment did not
+// change reports so and drops nothing, and evicting eth_table drops the
+// diagram roots of exactly the points the table taints.
+func TestEvictStalePrecision(t *testing.T) {
+	s := newSpec(t, fig3Src, Options{})
+	// An installed masked entry makes the tainted residues symbolic, so
+	// their points compile diagram roots.
+	if d := s.Apply(insert(ternaryEntry(0x1, 0xffff, "set", sym.NewBV(16, 0x800)))); d.Kind == Rejected {
+		t.Fatalf("insert rejected: %v", d.Err)
+	}
+	roots := func() []*sym.Expr {
+		out := make([]*sym.Expr, len(s.ddc.roots))
+		for i := range s.ddc.roots {
+			out[i] = s.ddc.roots[i].sub
+		}
+		return out
+	}
+	before := roots()
+	if changed, err := s.recompileTarget(tbl); err != nil || changed {
+		t.Fatalf("recompiling an untouched table: changed=%v err=%v", changed, err)
+	}
+	if !slices.Equal(roots(), before) {
+		t.Fatal("recompiling an unchanged assignment dropped diagram roots")
+	}
+	tainted := make(map[int]bool)
+	for _, p := range s.An.PointsOf(tbl) {
+		tainted[p.ID] = true
+	}
+	s.evictStale(tbl)
+	after := roots()
+	dropped := 0
+	for id := range after {
+		switch {
+		case tainted[id] && after[id] != nil:
+			t.Fatalf("point %d is tainted by %s but kept its diagram root", id, tbl)
+		case tainted[id] && before[id] != nil:
+			dropped++
+		case !tainted[id] && after[id] != before[id]:
+			t.Fatalf("point %d is not tainted by %s but lost its diagram root", id, tbl)
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no tainted point had a diagram root to drop")
 	}
 }

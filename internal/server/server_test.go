@@ -143,10 +143,10 @@ func sameOutcome(t *testing.T, label string, got wire.Stats, want core.Stats) {
 	}
 }
 
-// sameCache compares cache traffic counter-for-counter. Only valid for
-// uninterrupted runs with mirrored chunking: restoring a snapshot
-// installs the warm cache but resets the hit/miss counters (the core
-// cache suite pins that), so cross-restart comparisons skip this.
+// sameCache compares query-skip traffic counter-for-counter. Only
+// valid for uninterrupted runs with mirrored chunking: restoring a
+// snapshot resets the hit/miss counters, so cross-restart comparisons
+// skip this.
 func sameCache(t *testing.T, label string, got wire.Stats, want core.Stats) {
 	t.Helper()
 	if got.CacheHits != want.CacheHits || got.CacheMisses != want.CacheMisses {

@@ -84,7 +84,6 @@ type Expr struct {
 
 	id    uint64 // dense id assigned by the Builder, for deterministic ordering
 	depth uint32 // 1 + max child depth, assigned at intern time
-	canon Canon  // structural hash, assigned at intern time (canon.go)
 }
 
 // ID returns the builder-assigned dense id of the node. IDs increase in
@@ -281,7 +280,6 @@ func (b *Builder) intern(k exprKey) *Expr {
 		Name: k.name, Class: k.class,
 		A: k.a, B: k.b, C: k.c,
 		id: b.nextID, depth: depth + 1,
-		canon: canonOf(k),
 	}
 	if k.op != OpConst {
 		e.Val = BV{}

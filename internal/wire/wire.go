@@ -128,7 +128,6 @@ type CreateSessionRequest struct {
 	OverapproxThreshold int    `json:"overapprox_threshold,omitempty"`
 	Quality             string `json:"quality,omitempty"` // full | no-narrowing | dce-only | none
 	Workers             int    `json:"workers,omitempty"`
-	NoCache             bool   `json:"no_cache,omitempty"`
 	// NoDD disables the canonical decision-diagram query core (ablation;
 	// every point query runs the probe-solver path).
 	NoDD bool `json:"no_dd,omitempty"`
@@ -153,9 +152,11 @@ type Stats struct {
 	Coalesced      int   `json:"coalesced"`
 	EvalNS         int64 `json:"eval_ns"`
 	Workers        int   `json:"workers"`
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	CacheEvictions int64 `json:"cache_evictions"`
+	// CacheHits counts tainted-point re-evaluations answered without a
+	// query (unchanged assignment or pointer-equal residue);
+	// CacheMisses counts the queries that ran.
+	CacheHits   int64 `json:"cache_hits"`
+	CacheMisses int64 `json:"cache_misses"`
 
 	// Decision-diagram query-core counters (all zero when the core is
 	// disabled with no_dd).
@@ -190,7 +191,6 @@ func FromStats(s core.Stats) Stats {
 		Workers:         s.Workers,
 		CacheHits:       s.CacheHits,
 		CacheMisses:     s.CacheMisses,
-		CacheEvictions:  s.CacheEvictions,
 		DDQueries:       s.DDQueries,
 		DDFallbacks:     s.DDFallbacks,
 		DDCompiles:      s.DDCompiles,
